@@ -7,11 +7,13 @@ BENCH_JSON ?= BENCH_10.json
 BASE ?= BENCH_10.json
 TOL ?= 0.1
 
-.PHONY: check build vet fmt test race bench bench-json bench-diff perf-gate fault-demo fuzz-smoke daemon-smoke
+.PHONY: check build vet fmt test race bench-module bench bench-json bench-diff perf-gate fault-demo fuzz-smoke daemon-smoke
 
 # check is the CI gate: vet + formatting + full shuffled tests + the
-# race detector over every package.
-check: vet fmt test race
+# race detector over every package, plus vet and tests of the bench/
+# module, so an API change that stops the benchmark from building fails
+# here rather than in a benchmark run.
+check: vet fmt test race bench-module
 
 build:
 	$(GO) build ./...
@@ -32,6 +34,11 @@ test:
 
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# bench-module vets and tests the end-to-end benchmark (bench/, its own
+# Go module that builds against this one; about 10 s).
+bench-module:
+	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
@@ -81,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadModel -fuzztime=$(FUZZTIME) ./internal/cqm
 	$(GO) test -run='^$$' -fuzz=FuzzEvaluator -fuzztime=$(FUZZTIME) ./internal/cqm
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzJournalRecord -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzFingerprint -fuzztime=$(FUZZTIME) ./internal/plancache
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/wal
 

@@ -19,10 +19,13 @@
 //
 // With -state-dir the daemon is crash-safe: every job transition and
 // every verified cache entry is journaled to a CRC-framed WAL in that
-// directory, and a restart on the same directory restores finished
-// jobs (re-verified before they are served) and re-enqueues the work
-// a kill -9 interrupted. -fsync picks the durability/latency trade
-// (always, interval, none).
+// directory (the job journal in serve-<gen>.log, the plan cache in
+// plancache-<gen>.log), and a restart on the same directory restores
+// finished jobs (re-verified before they are served) and re-enqueues
+// the work a kill -9 interrupted. -fsync picks the durability/latency
+// trade (always, interval, none). A directory still holding a wal-*.log
+// from before the two logs had their own files is refused until that
+// file is moved aside.
 package main
 
 import (

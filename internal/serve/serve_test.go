@@ -459,8 +459,9 @@ func TestCacheHitShortCircuitsBackend(t *testing.T) {
 	if err != nil || g2.Status != StatusDone {
 		t.Fatalf("second solve: %v status %v", err, g2.Status)
 	}
-	if !g2.Metrics.CacheHit {
-		t.Fatal("second identical solve was not served from the cache")
+	if !g2.Metrics.CacheHit || !g2.Metrics.SampleFeasible {
+		t.Fatalf("second identical solve: cache_hit %v sample_feasible %v, want both",
+			g2.Metrics.CacheHit, g2.Metrics.SampleFeasible)
 	}
 	if got := cb.calls.Load(); got != 1 {
 		t.Fatalf("backend solved %d times, want 1", got)

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,7 +88,7 @@ func liveSegment(t *testing.T, dir string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, _ := pickSegments(names)
+	live, _ := pickSegments("log", names)
 	if live == "" {
 		t.Fatal("no live segment")
 	}
@@ -217,9 +218,9 @@ func TestCompactionGenerationsAndStaleCleanup(t *testing.T) {
 
 	// A stale lower generation and an orphan tmp file left by a crash
 	// between rename and remove are cleared by Open.
-	stale := filepath.Join(dir, segmentName(1))
+	stale := filepath.Join(dir, segmentName("log", 1))
 	os.WriteFile(stale, []byte("garbage"), 0o644)
-	os.WriteFile(filepath.Join(dir, segmentName(9)+tmpSuffix), []byte("tmp"), 0o644)
+	os.WriteFile(filepath.Join(dir, segmentName("log", 9)+tmpSuffix), []byte("tmp"), 0o644)
 	l2.Close()
 	l3, recs3 := mustOpen(t, Options{Dir: dir, Clock: clk})
 	defer l3.Close()
@@ -518,5 +519,77 @@ func TestParseSyncPolicy(t *testing.T) {
 func TestOptionsValidation(t *testing.T) {
 	if _, _, err := Open(Options{}); err == nil {
 		t.Fatal("Open without Dir accepted")
+	}
+}
+
+// TestTwoLogsOneDirKeepTheirRecords pins the shared-directory layout
+// qulrbd -state-dir uses: the job journal and the plan-cache journal
+// live in one directory. A compaction by one log must not touch the
+// other's records, and every acknowledged append of both must replay.
+func TestTwoLogsOneDirKeepTheirRecords(t *testing.T) {
+	dir := t.TempDir()
+	serve, _ := mustOpen(t, Options{Dir: dir, Name: "serve", Policy: SyncAlways})
+	cache, _ := mustOpen(t, Options{Dir: dir, Name: "plancache", Policy: SyncAlways})
+	appendAll(t, serve, "job-1", "job-2", "job-3")
+	appendAll(t, cache, "cache-1")
+	if err := cache.Compact([][]byte{[]byte("cache-snap")}); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, serve, "job-4", "job-5", "job-6")
+	appendAll(t, cache, "cache-2")
+	serve.Close()
+	cache.Close()
+
+	for _, tc := range []struct {
+		name string
+		want []string
+	}{
+		{"serve", []string{"job-1", "job-2", "job-3", "job-4", "job-5", "job-6"}},
+		{"plancache", []string{"cache-snap", "cache-2"}},
+	} {
+		l, recs := mustOpen(t, Options{Dir: dir, Name: tc.name})
+		l.Close()
+		if got := asStrings(recs); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Fatalf("%s log replayed %q, want %q", tc.name, got, tc.want)
+		}
+	}
+	names, _ := OS().ReadDir(dir)
+	if len(names) != 2 {
+		t.Fatalf("directory holds %v, want one live segment per log", names)
+	}
+}
+
+// TestOpenRefusesLegacySharedSegment: a directory still holding a
+// wal-<gen>.log from the shared layout is refused with a typed error
+// naming the file, and Open neither deletes it nor starts a log beside
+// it.
+func TestOpenRefusesLegacySharedSegment(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "wal-0000000000000003.log")
+	if err := os.WriteFile(legacy, buildImage(3, [][]byte{[]byte("old")}), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := Open(Options{Dir: dir, Name: "serve"})
+	if !errors.Is(err, ErrLegacySegment) || !strings.Contains(err.Error(), legacy) {
+		t.Fatalf("Open beside a legacy segment = %v, want ErrLegacySegment naming %s", err, legacy)
+	}
+	names, _ := OS().ReadDir(dir)
+	if len(names) != 1 || names[0] != filepath.Base(legacy) {
+		t.Fatalf("refused Open changed the directory: %v", names)
+	}
+	// Moving the file aside is the upgrade: the log then starts empty.
+	if err := os.Rename(legacy, filepath.Join(t.TempDir(), "moved.log")); err != nil {
+		t.Fatal(err)
+	}
+	l, recs := mustOpen(t, Options{Dir: dir, Name: "serve"})
+	defer l.Close()
+	if len(recs) != 0 {
+		t.Fatalf("fresh log replayed %d records", len(recs))
+	}
+	if _, _, err := Open(Options{Dir: t.TempDir(), Name: "wal"}); err == nil {
+		t.Fatal("the reserved legacy name was accepted")
+	}
+	if _, _, err := Open(Options{Dir: t.TempDir(), Name: "a/b"}); err == nil {
+		t.Fatal("a name with a path separator was accepted")
 	}
 }

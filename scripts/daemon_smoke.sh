@@ -98,13 +98,16 @@ set -e
 grep -q "drained cleanly" "$LOG" || fail "drain banner missing"
 trap - EXIT
 
-# Crash-safe durability: run with -state-dir, finish a job, SIGKILL the
-# daemon (no drain, no dying gasp), restart on the same directory. The
-# finished job must still be queryable with its plan intact and carry
-# the recovered flag — the journal, not the process, owns the record.
+# Crash-safe durability: run with -state-dir and a plan cache, finish a
+# job, SIGKILL the daemon (no drain, no dying gasp), restart on the same
+# directory. The finished job must still be queryable with its plan
+# intact and carry the recovered flag — the journal, not the process,
+# owns the record — and the plan cache must get back exactly its own
+# one entry: its log shares the directory with the job journal but
+# never a segment file.
 STATE="$(mktemp -d)"
 echo "daemon-smoke: durability phase (state dir $STATE)"
-"$BIN" -addr "$ADDR" -workers 2 -timeout 2s -state-dir "$STATE" >"$LOG" 2>&1 &
+"$BIN" -addr "$ADDR" -workers 2 -timeout 2s -cache 16 -state-dir "$STATE" >"$LOG" 2>&1 &
 PID=$!
 trap 'kill "$PID" 2>/dev/null || true' EXIT
 i=0
@@ -139,7 +142,7 @@ set +e
 wait "$PID" 2>/dev/null
 set -e
 
-"$BIN" -addr "$ADDR" -workers 2 -timeout 2s -state-dir "$STATE" >"$LOG" 2>&1 &
+"$BIN" -addr "$ADDR" -workers 2 -timeout 2s -cache 16 -state-dir "$STATE" >"$LOG" 2>&1 &
 PID=$!
 i=0
 until curl -fsS "$BASE/healthz" >/dev/null 2>&1; do
@@ -149,6 +152,8 @@ until curl -fsS "$BASE/healthz" >/dev/null 2>&1; do
     sleep 0.1
 done
 grep -q "recovered" "$LOG" || fail "recovery banner missing after restart"
+grep -q "plan cache restored 1 entries (0 rejected)" "$LOG" ||
+    fail "plan cache did not restore exactly its one entry after restart"
 
 BODY="$(curl -fsS "$BASE/jobs/$JOB")" || fail "job $JOB lost across kill -9"
 printf '%s' "$BODY" | grep -q '"status":"done"' || fail "recovered job not done: $BODY"
