@@ -90,6 +90,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzJournalRecord -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzFingerprint -fuzztime=$(FUZZTIME) ./internal/plancache
+	$(GO) test -run='^$$' -fuzz=FuzzCacheRecord -fuzztime=$(FUZZTIME) ./internal/plancache
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/wal
 
 # daemon-smoke exercises the serving daemon end to end from the

@@ -22,10 +22,14 @@
 // directory (the job journal in serve-<gen>.log, the plan cache in
 // plancache-<gen>.log), and a restart on the same directory restores
 // finished jobs (re-verified before they are served) and re-enqueues
-// the work a kill -9 interrupted. -fsync picks the durability/latency
-// trade (always, interval, none). A directory still holding a wal-*.log
-// from before the two logs had their own files is refused until that
-// file is moved aside.
+// the work a kill -9 interrupted. -fsync picks the job journal's
+// durability/latency trade (always, interval, none). The plan-cache log
+// is never fsynced per Put, whatever -fsync says: a cached plan gates
+// no client promise, the OS still holds every written record across a
+// kill -9, and a power loss costs only re-solves (Close and compaction
+// still fsync). A directory still holding a wal-*.log from before the
+// two logs had their own files is refused until that file is moved
+// aside.
 package main
 
 import (
@@ -83,7 +87,7 @@ func run() error {
 		cacheCap     = flag.Int("cache", 0, "verified plan cache capacity in entries (0 disables caching)")
 		cacheEps     = flag.Float64("cache-eps", plancache.DefaultEpsilon, "load quantization epsilon for cache fingerprints")
 		stateDir     = flag.String("state-dir", "", "durable state directory: job journal + plan-cache snapshot survive restarts (empty disables durability)")
-		fsyncPolicy  = flag.String("fsync", "always", "WAL sync policy: always, interval, none")
+		fsyncPolicy  = flag.String("fsync", "always", "job journal sync policy: always, interval, none (the plan-cache log is never fsynced per put)")
 	)
 	flag.Parse()
 
@@ -100,7 +104,8 @@ func run() error {
 	// Durable state: with -state-dir the job lifecycle is journaled to a
 	// CRC-framed WAL (unfinished jobs re-enqueue on restart, finished
 	// ones are restored and re-verified) and the plan cache snapshots
-	// its verified entries alongside it.
+	// its verified entries alongside it, unsynced: losing a put costs a
+	// re-solve, never a result.
 	var (
 		serveLog, cacheLog   *wal.Log
 		serveRecs, cacheRecs [][]byte
@@ -118,7 +123,7 @@ func run() error {
 		defer serveLog.Close() //nolint:errcheck — closed explicitly after drain
 		if *cacheCap > 0 {
 			if cacheLog, cacheRecs, err = wal.Open(wal.Options{
-				Dir: *stateDir, Name: "plancache", Policy: pol, Obs: reg,
+				Dir: *stateDir, Name: "plancache", Policy: wal.SyncNone, Obs: reg,
 			}); err != nil {
 				return fmt.Errorf("plan-cache journal: %w", err)
 			}

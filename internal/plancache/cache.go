@@ -241,8 +241,7 @@ func (c *Cache) GetInto(dst *lrp.Plan, in *lrp.Instance, p Params) bool {
 // lookupLocked fingerprints the instance (filling c.sc.perm/inv) and
 // returns the matching element, counting the miss if there is none.
 func (c *Cache) lookupLocked(in *lrp.Instance, p Params) *list.Element {
-	fp := fingerprintInto(&c.sc, in.Tasks, in.Weight, c.cfg.Epsilon, p, c.cfg.Verify.MaxLoad)
-	el := c.idx[fp]
+	el := c.idx[c.fingerprintLocked(in, p)]
 	if el == nil {
 		c.stats.Misses++
 		c.cMiss.Inc()
@@ -301,45 +300,58 @@ func (c *Cache) Put(in *lrp.Instance, p Params, plan *lrp.Plan) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.putLocked(in, p, plan, true)
-}
-
-// putLocked verifies, canonicalizes and inserts one plan. journal=false
-// is the replay path: a record being re-admitted from disk must not be
-// re-appended to the very log it came from.
-func (c *Cache) putLocked(in *lrp.Instance, p Params, plan *lrp.Plan, journal bool) error {
 	verify.PlanInto(&c.rep, in, plan, p.K, c.cfg.Verify)
 	if !c.rep.Ok() {
 		c.stats.PutRejects++
 		c.cPutReject.Inc()
 		return fmt.Errorf("plancache: refusing unverified plan: %w", c.rep.Err())
 	}
-	fp := fingerprintInto(&c.sc, in.Tasks, in.Weight, c.cfg.Epsilon, p, c.cfg.Verify.MaxLoad)
+	ent := c.canonLocked(c.fingerprintLocked(in, p), in, p, plan)
+	c.insertLocked(ent)
+	c.journalLocked(ent)
+	return nil
+}
+
+// fingerprintLocked keys (in, p) under the cache's config, leaving the
+// requester's permutation in c.sc.perm/inv.
+func (c *Cache) fingerprintLocked(in *lrp.Instance, p Params) fingerprint {
+	return fingerprintInto(&c.sc, in.Tasks, in.Weight, c.cfg.Epsilon, p, c.cfg.Verify.MaxLoad)
+}
+
+// canonLocked copies in and plan into canonical process order as the
+// entry keyed fp. c.sc.inv must hold in's permutation from
+// fingerprintLocked.
+func (c *Cache) canonLocked(fp fingerprint, in *lrp.Instance, p Params, plan *lrp.Plan) *entry {
 	m := len(in.Tasks)
-	canon := lrp.ZeroPlan(m)
+	cells := make([]int, m*m)
 	ctasks := make([]int, m)
 	cweight := make([]float64, m)
 	inv := c.sc.inv
 	for i := 0; i < m; i++ {
-		src, row := plan.X[i], canon.X[inv[i]]
+		src, row := plan.X[i], cells[inv[i]*m:]
 		for j := 0; j < m; j++ {
 			row[inv[j]] = src[j]
 		}
 		ctasks[inv[i]] = in.Tasks[i]
 		cweight[inv[i]] = in.Weight[i]
 	}
-	ent := &entry{
+	return &entry{
 		fp: fp, m: m, p: p, ctasks: ctasks, cweight: cweight,
-		plan: canon, bytes: int64(m) * int64(m) * 8,
+		plan: &lrp.Plan{X: rows(cells, m)}, bytes: int64(m) * int64(m) * 8,
 	}
-	if el := c.idx[fp]; el != nil {
+}
+
+// insertLocked makes ent the most recently used entry, replacing any
+// entry with its fingerprint, and evicts down to capacity.
+func (c *Cache) insertLocked(ent *entry) {
+	if el := c.idx[ent.fp]; el != nil {
 		// Replace in place (a fresher plan for the same key).
 		old := el.Value.(*entry)
 		c.bytes += ent.bytes - old.bytes
 		el.Value = ent
 		c.ll.MoveToFront(el)
 	} else {
-		c.idx[fp] = c.ll.PushFront(ent)
+		c.idx[ent.fp] = c.ll.PushFront(ent)
 		c.bytes += ent.bytes
 	}
 	for c.ll.Len() > c.cfg.Capacity {
@@ -350,10 +362,6 @@ func (c *Cache) putLocked(in *lrp.Instance, p Params, plan *lrp.Plan, journal bo
 	c.hEntryBytes.Observe(float64(ent.bytes))
 	c.gEntries.Set(float64(c.ll.Len()))
 	c.gBytes.Set(float64(c.bytes))
-	if journal {
-		c.journalLocked(ent)
-	}
-	return nil
 }
 
 // evictLocked removes one element and updates eviction accounting.
@@ -382,4 +390,13 @@ func reshape(dst *lrp.Plan, m int) {
 			dst.X[i] = dst.X[i][:m]
 		}
 	}
+}
+
+// rows slices m×m row-major cells into plan rows.
+func rows(cells []int, m int) [][]int {
+	x := make([][]int, m)
+	for i := range x {
+		x[i] = cells[i*m : (i+1)*m : (i+1)*m]
+	}
+	return x
 }

@@ -1,6 +1,7 @@
 package plancache
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -149,6 +150,72 @@ func FuzzFingerprint(f *testing.F) {
 		}
 		if rep := verify.Plan(pin, got, -1, verify.Options{}); !rep.Ok() {
 			t.Fatalf("served plan failed verify.Plan: %v", rep.Err())
+		}
+	})
+}
+
+// FuzzCacheRecord hardens the journal decoder, which reads bytes back
+// from disk: arbitrary input never panics, and whatever decodes
+// re-encodes to bytes that decode to the same record (compared by
+// encoding, so weights count bit for bit). It also runs the other
+// direction: every entry Put accepts, whatever the width of its task
+// counts, weights, k and form, journals a record that Load restores to
+// the same entry.
+func FuzzCacheRecord(f *testing.F) {
+	one := &record{p: Params{K: -1}, tasks: []int{1}, weight: []float64{1}, plan: [][]int{{1}}}
+	f.Add(appendRecord(nil, one), int64(1), uint8(4), int64(-1), int64(0), uint64(12))
+	f.Add(appendRecord(nil, &record{
+		p: Params{K: math.MaxInt, Form: math.MinInt}, tasks: []int{math.MaxInt, 0},
+		weight: []float64{math.MaxFloat64, math.Copysign(0, -1)}, plan: [][]int{{math.MaxInt, 0}, {0, 0}},
+	}), int64(7), uint8(1), int64(math.MaxInt64), int64(math.MinInt64), uint64(math.MaxUint64))
+	f.Add([]byte(`{"v":1,"tasks":[1],"weight":[1],"plan":[[1]]}`), int64(3), uint8(16), int64(8), int64(2), uint64(1<<40))
+	f.Add([]byte{persistVersion, 1, 0, 2, 1, 1}, int64(9), uint8(2), int64(0), int64(-3), uint64(3))
+	f.Fuzz(func(t *testing.T, data []byte, seed int64, m uint8, k, form int64, width uint64) {
+		if rec, err := decodeRecord(data); err == nil {
+			b := appendRecord(nil, &rec)
+			again, err := decodeRecord(b)
+			if err != nil {
+				t.Fatalf("re-encoded record does not decode: %v (%x)", err, b)
+			}
+			if b2 := appendRecord(nil, &again); !bytes.Equal(b2, b) {
+				t.Fatalf("encode→decode→encode changed the bytes:\n%x\n%x", b, b2)
+			}
+		}
+
+		// A random conserving plan over task counts up to width (at
+		// most MaxInt) and arbitrary finite non-negative weights.
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + int(m%16)
+		tasks := make([]int, n)
+		weight := make([]float64, n)
+		plan := lrp.ZeroPlan(n)
+		for j := range tasks {
+			tasks[j] = int((width >> 1) >> rng.Intn(64))
+			weight[j] = math.Abs(math.Float64frombits(rng.Uint64()))
+			if math.IsNaN(weight[j]) || math.IsInf(weight[j], 0) {
+				weight[j] = float64(j)
+			}
+			plan.X[j][j] = tasks[j]
+			for i := rng.Intn(n); i < n && plan.X[j][j] > 0; i += 1 + rng.Intn(n) {
+				moved := int(rng.Int63n(int64(plan.X[j][j])))
+				plan.X[j][j] -= moved
+				plan.X[i][j] += moved
+			}
+		}
+		j := &memJournal{}
+		c := New(Config{Journal: j})
+		if c.Put(lrp.MustInstance(tasks, weight), Params{K: int(k), Form: int(form)}, plan) != nil {
+			return // over its migration budget
+		}
+		if len(j.records) != 1 {
+			t.Fatalf("accepted Put journaled %d records", len(j.records))
+		}
+		c2 := New(Config{})
+		if kept, rejected := c2.Load(j.records); kept != 1 || rejected != 0 {
+			t.Fatalf("Load of an accepted entry = (%d, %d), want (1, 0); record %x", kept, rejected, j.records[0])
+		}
+		if got, want := c2.Snapshot(), c.Snapshot(); !bytes.Equal(got[0], want[0]) || !bytes.Equal(want[0], j.records[0]) {
+			t.Fatalf("entry changed across the journal:\njournal %x\nwant    %x\ngot     %x", j.records[0], want[0], got[0])
 		}
 	})
 }

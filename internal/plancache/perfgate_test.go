@@ -37,3 +37,27 @@ func TestPerfGateCacheHitZeroAlloc(t *testing.T) {
 		t.Fatalf("warm cache hit allocates %.1f times per op, want 0", allocs)
 	}
 }
+
+// TestPerfGateLoadStopsAtCapacity: a journal of 2×Capacity records
+// whose older half is garbage loads Capacity entries and rejects
+// nothing, which shows that Load never reads a record the cache would
+// evict — a restart costs O(live entries), not O(journaled Puts).
+func TestPerfGateLoadStopsAtCapacity(t *testing.T) {
+	const capacity = 64
+	rng := rand.New(rand.NewSource(5))
+	j := &memJournal{}
+	c := New(Config{Journal: j, Capacity: capacity})
+	putN(t, c, rng, capacity)
+	if c.Len() != capacity {
+		t.Fatalf("cache holds %d entries, want %d distinct", c.Len(), capacity)
+	}
+	records := make([][]byte, 0, 2*capacity)
+	for i := 0; i < capacity; i++ {
+		records = append(records, []byte("not a record"))
+	}
+	records = append(records, j.records...)
+	c2 := New(Config{Capacity: capacity})
+	if kept, rejected := c2.Load(records); kept != capacity || rejected != 0 {
+		t.Fatalf("Load = (%d, %d), want (%d, 0)", kept, rejected, capacity)
+	}
+}

@@ -2,7 +2,6 @@ package plancache
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"math/rand"
 	"testing"
@@ -126,20 +125,35 @@ func TestLoadDropsCorruptAndMalformedRecords(t *testing.T) {
 	ins, ps := putN(t, c, rng, 3)
 
 	good := j.records
-	// Corrupt record 0's plan: break conservation by bumping one cell.
-	var pr persistRecord
-	if err := json.Unmarshal(good[0], &pr); err != nil {
+	// Corrupt record 0's plan: break conservation by dropping one task.
+	rec, err := decodeRecord(good[0])
+	if err != nil {
 		t.Fatal(err)
 	}
-	pr.Plan[0][0]++
-	corrupt, _ := json.Marshal(pr)
+	for i := range rec.plan {
+		if rec.plan[i][0] > 0 {
+			rec.plan[i][0]--
+			break
+		}
+	}
+	corrupt := appendRecord(nil, &rec)
+	wrongVersion := append([]byte(nil), good[1]...)
+	wrongVersion[0] = 99
+	// Two task counts but one weight: the bytes cannot line up.
+	shapeMismatch := appendRecord(nil, &record{
+		p: Params{K: -1}, tasks: []int{1, 2}, weight: []float64{1}, plan: [][]int{{1, 0}, {0, 2}},
+	})
+	invalidInstance := appendRecord(nil, &record{
+		p: Params{K: -1}, tasks: []int{1}, weight: []float64{-1}, plan: [][]int{{1}},
+	})
 
 	bad := [][]byte{
 		corrupt,
-		[]byte("{truncated"), // undecodable
-		[]byte(`{"v":99,"tasks":[1],"weight":[1],"plan":[[1]]}`),  // wrong version
-		[]byte(`{"v":1,"tasks":[1,2],"weight":[1],"plan":[[1]]}`), // shape mismatch
-		[]byte(`{"v":1,"tasks":[-1],"weight":[1],"plan":[[1]]}`),  // invalid instance
+		good[1][:len(good[1])-1], // truncated
+		wrongVersion,
+		[]byte(`{"v":1,"tasks":[1],"weight":[1],"plan":[[1]]}`), // version 1 (JSON)
+		shapeMismatch,
+		invalidInstance,
 	}
 	reg := obs.NewRegistry()
 	c2 := New(Config{Obs: reg})
@@ -157,6 +171,90 @@ func TestLoadDropsCorruptAndMalformedRecords(t *testing.T) {
 	for i := 1; i < 3; i++ {
 		if _, ok := c2.Get(ins[i], ps[i]); !ok {
 			t.Fatalf("clean record %d missed", i)
+		}
+	}
+}
+
+// encode is the journal record of plan for (in, p), in whatever
+// process order in has — a permuted instance makes a non-canonical
+// record.
+func encode(in *lrp.Instance, p Params, plan *lrp.Plan) []byte {
+	return appendRecord(nil, &record{p: p, tasks: in.Tasks, weight: in.Weight, plan: plan.X})
+}
+
+// replayInOrder is the reference Load: every record, oldest first,
+// through the live put gate.
+func replayInOrder(c *Cache, records [][]byte) {
+	for _, b := range records {
+		rec, err := decodeRecord(b)
+		if err != nil {
+			continue
+		}
+		in, err := lrp.NewInstance(rec.tasks, rec.weight)
+		if err != nil {
+			continue
+		}
+		_ = c.Put(in, rec.p, &lrp.Plan{X: rec.plan}) // a refused Put is a load reject
+	}
+}
+
+// TestLoadMatchesInOrderReplay is the newest-first walk's contract. On
+// random journals — repeated fingerprints carrying fresher plans,
+// permuted (non-canonical) records, corrupt plans, plans over their
+// migration budget, undecodable bytes, more distinct entries than
+// Capacity — loaded into a cache that already holds entries, Load
+// leaves exactly the Snapshot bytes (contents and LRU order) that an
+// in-order replay of every record through Put leaves.
+func TestLoadMatchesInOrderReplay(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	params := []Params{{K: -1}, {K: 4, Form: 1}}
+	for iter := 0; iter < 400; iter++ {
+		capacity := 1 + rng.Intn(8)
+		pool := make([]*lrp.Instance, capacity+rng.Intn(2*capacity+1))
+		for i := range pool {
+			pool[i] = randInstance(rng, 2+rng.Intn(4))
+		}
+		pick := func() (*lrp.Instance, Params, *lrp.Plan) {
+			in := pool[rng.Intn(len(pool))]
+			if rng.Intn(3) == 0 {
+				in, _ = permuted(rng, in)
+			}
+			return in, params[rng.Intn(len(params))], randPlan(rng, in, rng.Intn(4))
+		}
+		var records [][]byte
+		for n := rng.Intn(4*capacity + 2); n > 0; n-- {
+			in, p, plan := pick()
+			switch rng.Intn(8) {
+			case 0: // corrupt plan: column 0 loses a task
+				for i := range plan.X {
+					if plan.X[i][0] > 0 {
+						plan.X[i][0]--
+						break
+					}
+				}
+			case 1:
+				records = append(records, []byte{persistVersion, 0x80})
+				continue
+			}
+			records = append(records, encode(in, p, plan))
+		}
+		got, want := New(Config{Capacity: capacity}), New(Config{Capacity: capacity})
+		for n := rng.Intn(capacity + 1); n > 0; n-- {
+			in, p, plan := pick()
+			if errGot, errWant := got.Put(in, p, plan), want.Put(in, p, plan); (errGot == nil) != (errWant == nil) {
+				t.Fatalf("iter %d: prefill Put disagrees: %v vs %v", iter, errGot, errWant)
+			}
+		}
+		got.Load(records)
+		replayInOrder(want, records)
+		g, w := got.Snapshot(), want.Snapshot()
+		if len(g) != len(w) {
+			t.Fatalf("iter %d (capacity %d, %d records): Load kept %d entries, in-order replay %d", iter, capacity, len(records), len(g), len(w))
+		}
+		for i := range w {
+			if !bytes.Equal(g[i], w[i]) {
+				t.Fatalf("iter %d (capacity %d, %d records): LRU position %d differs:\n got %x\nwant %x", iter, capacity, len(records), i, g[i], w[i])
+			}
 		}
 	}
 }

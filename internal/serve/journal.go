@@ -285,10 +285,8 @@ func (s *Server) rebuildJob(n int64, acc *journalRecord, now time.Time) (*job, e
 	if err != nil {
 		return nil, err
 	}
-	if acc.BudgetMs > 0 {
-		if b := time.Duration(acc.BudgetMs) * time.Millisecond; b <= s.opt.MaxBudget {
-			budget = b
-		}
+	if acc.BudgetMs > 0 && acc.BudgetMs <= s.maxBudgetMs() {
+		budget = time.Duration(acc.BudgetMs) * time.Millisecond
 	}
 	return &job{
 		id: jobID(n), n: n, tenant: req.Tenant, req: req, in: in,

@@ -587,43 +587,55 @@ func TestCompactionRacingSubmitKeepsAccept(t *testing.T) {
 }
 
 // TestRecoveryKeepsFullWidthRequest: a job whose k and budget_ms do not
-// fit 32 bits is accepted, finishes, and comes back done after a crash.
+// fit 32 bits, or whose budget_ms does not fit a time.Duration, is
+// answered done and replays as done: the journal keeps both at full
+// width and the budget is clamped to MaxBudget before it can overflow.
 func TestRecoveryKeepsFullWidthRequest(t *testing.T) {
-	mem := &memJournal{}
-	s, err := New(Options{
-		Backend: &instantBackend{}, Clock: fakeClock(t), NoRateLimit: true,
-		Workers: 1, QueueDepth: 16, DefaultBudget: time.Hour, Journal: mem,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := req("t")
-	r.K, r.BudgetMs = 3_000_000_000, 3_000_000_000
-	sub, err := s.Submit(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j := waitDone(t, s, sub.ID); j.Status != StatusDone {
-		t.Fatalf("job = %+v, want done", j)
-	}
-	if err := s.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name        string
+		k, budgetMs int
+	}{
+		{"over 32 bits", 3_000_000_000, 3_000_000_000},
+		{"budget over a Duration", 0, 10_000_000_000_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := &memJournal{}
+			s, err := New(Options{
+				Backend: &instantBackend{}, Clock: fakeClock(t), NoRateLimit: true,
+				Workers: 1, QueueDepth: 16, DefaultBudget: time.Hour, Journal: mem,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := req("t")
+			r.K, r.BudgetMs = tc.k, tc.budgetMs
+			sub, err := s.Submit(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j := waitDone(t, s, sub.ID); j.Status != StatusDone {
+				t.Fatalf("job = %+v, want done", j)
+			}
+			if err := s.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
 
-	reg := obs.NewRegistry()
-	s2, err := New(Options{
-		Backend: &instantBackend{}, Clock: fakeClock(t), NoRateLimit: true,
-		Workers: 1, QueueDepth: 16, DefaultBudget: time.Hour,
-		Recover: mem.copy(), Obs: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Drain(context.Background()) //nolint:errcheck
-	if got := reg.Counter("serve.recovery_dropped").Value(); got != 0 {
-		t.Fatalf("%d records dropped at replay", got)
-	}
-	if j, err := s2.Job(sub.ID); err != nil || j.Status != StatusDone || !j.Recovered {
-		t.Fatalf("job after replay = %+v (%v), want done+recovered", j, err)
+			reg := obs.NewRegistry()
+			s2, err := New(Options{
+				Backend: &instantBackend{}, Clock: fakeClock(t), NoRateLimit: true,
+				Workers: 1, QueueDepth: 16, DefaultBudget: time.Hour,
+				Recover: mem.copy(), Obs: reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Drain(context.Background()) //nolint:errcheck
+			if got := reg.Counter("serve.recovery_dropped").Value(); got != 0 {
+				t.Fatalf("%d records dropped at replay", got)
+			}
+			if j, err := s2.Job(sub.ID); err != nil || j.Status != StatusDone || !j.Recovered {
+				t.Fatalf("job after replay = %+v (%v), want done+recovered", j, err)
+			}
+		})
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"repro/internal/binrec"
 )
 
 // recordVersion is the job-journal schema, carried in every record's
@@ -93,8 +95,8 @@ func appendRecord(b []byte, rec *journalRecord) []byte {
 	case opAccept:
 		r := rec.Req
 		b = binary.AppendUvarint(b, uint64(rec.BudgetMs))
-		b = appendString(b, r.Tenant)
-		b = appendString(b, r.Form)
+		b = binrec.AppendStr(b, r.Tenant)
+		b = binrec.AppendStr(b, r.Form)
 		b = binary.AppendUvarint(b, uint64(r.K))
 		b = binary.AppendUvarint(b, uint64(r.BudgetMs))
 		b = binary.AppendVarint(b, r.Seed)
@@ -104,7 +106,7 @@ func appendRecord(b []byte, rec *journalRecord) []byte {
 		}
 		b = binary.AppendUvarint(b, uint64(len(r.Weights)))
 		for _, w := range r.Weights {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(w))
+			b = binrec.AppendFloat(b, w)
 		}
 	case opDone, opFail, opReject:
 		m := rec.Metrics
@@ -124,12 +126,12 @@ func appendRecord(b []byte, rec *journalRecord) []byte {
 		b = append(b, flags)
 		if m != nil {
 			for _, f := range [...]float64{m.ImbalanceBefore, m.ImbalanceAfter, m.Speedup, m.Objective, m.WallMs} {
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+				b = binrec.AppendFloat(b, f)
 			}
 			b = binary.AppendUvarint(b, uint64(m.Migrated))
 			b = binary.AppendUvarint(b, uint64(m.Qubits))
 		}
-		b = appendString(b, rec.Err)
+		b = binrec.AppendStr(b, rec.Err)
 		b = binary.AppendUvarint(b, uint64(len(rec.Plan)))
 		for _, row := range rec.Plan {
 			for _, c := range row {
@@ -138,11 +140,6 @@ func appendRecord(b []byte, rec *journalRecord) []byte {
 		}
 	}
 	return b
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
 }
 
 // peekRecord reads only a record's op and job id — all that replay
@@ -166,37 +163,37 @@ func peekRecord(b []byte) (op byte, id int64, ok bool) {
 // on the request and verify.Plan on the plan.
 func decodeRecord(b []byte, lim Limits) (journalRecord, error) {
 	lim = lim.withDefaults()
-	r := recordReader{b: b}
+	r := binrec.NewReader(b)
 	var rec journalRecord
-	if r.byte() != recordVersion {
+	if r.Byte() != recordVersion {
 		return rec, errRecord
 	}
-	rec.Op = r.byte()
-	rec.ID = int64(r.uvarint(math.MaxInt64))
+	rec.Op = r.Byte()
+	rec.ID = int64(r.Uvarint(math.MaxInt64))
 	switch rec.Op {
 	case opAccept:
-		rec.BudgetMs = int64(r.uvarint(math.MaxInt64))
+		rec.BudgetMs = int64(r.Uvarint(math.MaxInt64))
 		req := &Request{}
-		req.Tenant = r.string()
-		req.Form = r.string()
-		req.K = r.int()
-		req.BudgetMs = r.int()
-		req.Seed = r.varint()
-		if n := r.count(lim.MaxProcs, 1); n > 0 {
+		req.Tenant = r.Str()
+		req.Form = r.Str()
+		req.K = r.Int()
+		req.BudgetMs = r.Int()
+		req.Seed = r.Varint()
+		if n := r.Count(lim.MaxProcs, 1); n > 0 {
 			req.Tasks = make([]int, n)
 			for i := range req.Tasks {
-				req.Tasks[i] = r.int()
+				req.Tasks[i] = r.Int()
 			}
 		}
-		if n := r.count(lim.MaxProcs, 8); n > 0 {
+		if n := r.Count(lim.MaxProcs, 8); n > 0 {
 			req.Weights = make([]float64, n)
 			for i := range req.Weights {
-				req.Weights[i] = r.float()
+				req.Weights[i] = r.Float()
 			}
 		}
 		rec.Req = req
 	case opDone, opFail, opReject:
-		flags := r.byte()
+		flags := r.Byte()
 		if flags&^flagAll != 0 || (flags != 0 && flags&flagMetrics == 0) {
 			return journalRecord{}, errRecord
 		}
@@ -206,19 +203,19 @@ func decodeRecord(b []byte, lim Limits) (journalRecord, error) {
 				Repaired:       flags&flagRepaired != 0,
 				CacheHit:       flags&flagCacheHit != 0,
 			}
-			m.ImbalanceBefore, m.ImbalanceAfter, m.Speedup = r.float(), r.float(), r.float()
-			m.Objective, m.WallMs = r.float(), r.float()
-			m.Migrated, m.Qubits = r.int(), r.int()
+			m.ImbalanceBefore, m.ImbalanceAfter, m.Speedup = r.Float(), r.Float(), r.Float()
+			m.Objective, m.WallMs = r.Float(), r.Float()
+			m.Migrated, m.Qubits = r.Int(), r.Int()
 			rec.Metrics = m
 		}
-		rec.Err = r.string()
-		if m := r.count(lim.MaxProcs, 1); m > 0 {
-			if m*m > len(r.b) { // each cell is at least one byte
+		rec.Err = r.Str()
+		if m := r.Count(lim.MaxProcs, 1); m > 0 {
+			if m > r.Len()/m { // each cell is at least one byte
 				return journalRecord{}, errRecord
 			}
 			cells := make([]int, m*m)
 			for i := range cells {
-				cells[i] = int(r.uvarint(maxPlanCell))
+				cells[i] = int(r.Uvarint(maxPlanCell))
 			}
 			rec.Plan = make([][]int, m)
 			for i := range rec.Plan {
@@ -229,82 +226,8 @@ func decodeRecord(b []byte, lim Limits) (journalRecord, error) {
 	default:
 		return journalRecord{}, errRecord
 	}
-	if r.bad || len(r.b) != 0 {
+	if !r.Done() {
 		return journalRecord{}, errRecord
 	}
 	return rec, nil
-}
-
-// recordReader consumes a record front to back. The first failed read
-// marks it bad and empties it, so every later read fails too and
-// returns zero: callers check bad once at the end.
-type recordReader struct {
-	b   []byte
-	bad bool
-}
-
-func (r *recordReader) fail() {
-	r.bad, r.b = true, nil
-}
-
-func (r *recordReader) byte() byte {
-	if len(r.b) == 0 {
-		r.fail()
-		return 0
-	}
-	c := r.b[0]
-	r.b = r.b[1:]
-	return c
-}
-
-func (r *recordReader) uvarint(max uint64) uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 || v > max {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *recordReader) varint() int64 {
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// int reads a non-negative integer field.
-func (r *recordReader) int() int { return int(r.uvarint(math.MaxInt)) }
-
-func (r *recordReader) float() float64 {
-	if len(r.b) < 8 {
-		r.fail()
-		return 0
-	}
-	f := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
-	r.b = r.b[8:]
-	return f
-}
-
-// count reads a length prefix of at most max elements whose encodings
-// take at least size bytes each, and fails if the record cannot hold
-// that many.
-func (r *recordReader) count(max, size int) int {
-	n := int(r.uvarint(uint64(max)))
-	if n*size > len(r.b) {
-		r.fail()
-		return 0
-	}
-	return n
-}
-
-func (r *recordReader) string() string {
-	n := r.count(len(r.b), 1)
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
 }

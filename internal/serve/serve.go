@@ -505,13 +505,20 @@ func (s *Server) buildInstance(req *Request) (*lrp.Instance, time.Duration, erro
 	}
 	budget := s.opt.DefaultBudget
 	if req.BudgetMs > 0 {
-		budget = time.Duration(req.BudgetMs) * time.Millisecond
+		budget = s.opt.MaxBudget // clamped in milliseconds, before a Duration could overflow
+		if int64(req.BudgetMs) <= s.maxBudgetMs() {
+			budget = time.Duration(req.BudgetMs) * time.Millisecond
+		}
 	}
 	if budget > s.opt.MaxBudget {
 		budget = s.opt.MaxBudget
 	}
 	return in, budget, nil
 }
+
+// maxBudgetMs is MaxBudget in whole milliseconds: a budget of n ms is
+// within MaxBudget exactly when n <= maxBudgetMs().
+func (s *Server) maxBudgetMs() int64 { return int64(s.opt.MaxBudget / time.Millisecond) }
 
 // evictLocked drops the oldest finished jobs over the retention cap.
 func (s *Server) evictLocked() {

@@ -135,7 +135,15 @@ while :; do
     [ "$i" -gt 100 ] && fail "durable job did not finish within 10s: $BODY"
     sleep 0.1
 done
-echo "daemon-smoke: job $JOB done; kill -9"
+# The job journal fsyncs per -fsync; the plan-cache log never fsyncs a
+# put (a lost put costs a re-solve, not a result), so its sync counter
+# stays 0 even though the solve journaled one cache entry.
+METRICS="$(curl -fsS "$BASE/metrics")" || fail "GET /metrics (durable)"
+printf '%s\n' "$METRICS" | grep -Eq '^counter +wal\.plancache\.appends +[1-9]' ||
+    fail "plan cache journaled no entry: $(printf '%s\n' "$METRICS" | grep 'wal\.plancache\.appends')"
+printf '%s\n' "$METRICS" | grep -Eq '^counter +wal\.plancache\.syncs +0 *$' ||
+    fail "plan-cache put was fsynced: $(printf '%s\n' "$METRICS" | grep 'wal\.plancache\.syncs')"
+echo "daemon-smoke: job $JOB done, cache put unsynced; kill -9"
 
 kill -9 "$PID"
 set +e
