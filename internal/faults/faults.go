@@ -219,7 +219,7 @@ func Disk(seed int64, rate float64) Config {
 // Chaos returns a configuration injecting only the two faults no
 // transport-level retry can paper over — corrupted replies and solver
 // panics — splitting rate evenly between them. It is the adversary the
-// trust-but-verify layer (verify + hedge + solve.Protected) is built
+// trust-but-verify layer (verify + route + solve.Protected) is built
 // for: Uniform's transient/timeout/throttle faults exercise retries,
 // Chaos exercises verification and isolation.
 func Chaos(seed int64, rate float64) Config {

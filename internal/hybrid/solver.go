@@ -161,7 +161,7 @@ func (e *Engine) Solve(ctx context.Context, m *cqm.Model, opts ...solve.Option) 
 		}
 		if fault.Kind == faults.Panic {
 			// A crashing worker takes the goroutine down mid-solve; only
-			// the isolation layer (solve.Protected, as used by the hedge
+			// the isolation layer (solve.Protected, as used by the route
 			// and resilient wrappers) keeps it from taking the process.
 			panic(fmt.Sprintf("hybrid: job %d: injected solver crash", fault.Seq))
 		}
@@ -286,7 +286,7 @@ func (e *Engine) Solve(ctx context.Context, m *cqm.Model, opts ...solve.Option) 
 		// objective/feasibility intentionally keep their pre-corruption
 		// values. The damage is exactly that the reply no longer matches
 		// its own metadata, which is what independent verification
-		// (internal/verify, resilient's validation, the hedge race)
+		// (internal/verify, resilient's validation, the router)
 		// detects downstream.
 		res.Sample = append([]bool(nil), res.Sample...)
 		fault.CorruptSample(res.Sample)

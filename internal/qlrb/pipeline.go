@@ -13,9 +13,9 @@ import (
 
 // Pipeline is the staged quantum-hybrid solve path. Every way this
 // repository turns an LRP instance into a verified migration plan — the
-// monolithic qlrb.Solve, the hedged race (via Wrap/Solver), and the
-// hierarchical sharded solver (internal/shard, one Pipeline per shard)
-// — runs through these four stages, in order:
+// monolithic qlrb.Solve, a routed solve over several backends (via
+// Wrap/Solver), and the hierarchical sharded solver (internal/shard, one
+// Pipeline per shard) — runs through these four stages, in order:
 //
 //	BuildStage   instance  -> Encoded CQM        ("qlrb.build" span)
 //	SampleStage  Encoded   -> solve.Result       ("qlrb.solve" span)
@@ -38,16 +38,16 @@ type Pipeline struct {
 	Hybrid hybrid.Options
 	// Solver, when non-nil, supplies the sampling backend for the
 	// encoded model instead of hybrid.New(Hybrid) — the attachment
-	// point for alternative backends (a hedged race over several
+	// point for alternative backends (a route.Router over several
 	// solvers, a sharded solver bound to the same encoding, a test
 	// stub). The factory receives the built encoding so backends that
 	// need decode metadata (e.g. internal/shard's solver adapter) can
 	// bind to it.
 	Solver func(*Encoded) solve.Solver
 	// Wrap, when non-nil, decorates the solver built for this solve —
-	// the attachment point for middleware (resilient.Policy.Wrap,
-	// hedge wrapping, or any other solve.Solver decorator). It runs
-	// after Solver.
+	// the attachment point for middleware (resilient.Policy.Wrap, a
+	// route.Router over the built solver and backups, or any other
+	// solve.Solver decorator). It runs after Solver.
 	Wrap func(solve.Solver) solve.Solver
 	// NoWarmStart disables seeding the sampler with the identity plan
 	// (every task stays home), which is feasible for every K >= 0 and

@@ -74,7 +74,7 @@ func (opt SolveOptions) Pipeline() *Pipeline {
 // so far is still decoded (Stats.Solver.Interrupted reports the cut).
 //
 // Solve is a thin wrapper over the shared staged Pipeline — the same
-// build → sample → decode → verify stages the hedged and sharded paths
+// build → sample → decode → verify stages the routed and sharded paths
 // run through.
 func Solve(ctx context.Context, in *lrp.Instance, opt SolveOptions) (*lrp.Plan, SolveStats, error) {
 	return opt.Pipeline().Run(ctx, in)

@@ -1,10 +1,10 @@
 // Package resilient hardens the cloud solver path against the failures
 // internal/faults models (and real services exhibit): it wraps any
-// solve.Solver with retry + exponential backoff + jitter, per-attempt
-// budgets, response validation, a circuit breaker, and graceful
-// degradation to a local classical fallback solver — so a feasible
-// (possibly worse) result is always returned and a BSP rebalancing loop
-// never dies to a cloud outage.
+// solve.Solver with retry + exponential backoff + jitter, response
+// validation, a circuit breaker, and graceful degradation to a local
+// classical fallback solver — so a feasible (possibly worse) result is
+// always returned and a BSP rebalancing loop never dies to a cloud
+// outage.
 //
 // All timing is driven by the injected solve.Clock: backoff sleeps via
 // Clock.Sleep and the breaker's cooldown is measured on Clock.Now, so
@@ -63,9 +63,6 @@ type Options struct {
 	// Seed drives the jitter RNG when the per-solve options carry no
 	// seed of their own.
 	Seed int64
-	// AttemptBudget bounds each cloud attempt's solver time on the
-	// injected clock (0 = inherit the caller's budget/deadline only).
-	AttemptBudget time.Duration
 	// Breaker configures the circuit breaker (zero Threshold disables).
 	Breaker BreakerConfig
 	// Clock, when non-nil, overrides the per-solve clock for the
@@ -79,10 +76,6 @@ type Options struct {
 	// serving the request when the cloud path is exhausted or the
 	// breaker is open. Nil means failures surface as errors.
 	Fallback solve.Solver
-	// NoValidate disables response validation (sample length, objective
-	// and feasibility recomputation) — validation is what detects
-	// corrupted replies, so leave it on unless the model is huge.
-	NoValidate bool
 	// OnRetry, when non-nil, observes each backoff: the attempt number
 	// just failed (1-based), the wait before the next one, and the
 	// failure. Useful for logs and for asserting exact schedules.
@@ -307,11 +300,6 @@ func (s *Solver) Solve(ctx context.Context, m *cqm.Model, opts ...solve.Option) 
 		return res
 	}
 
-	attemptOpts := opts
-	if opt.AttemptBudget > 0 {
-		attemptOpts = append(append([]solve.Option(nil), opts...), solve.WithBudget(opt.AttemptBudget))
-	}
-
 	for n := 1; n <= opt.MaxAttempts; n++ {
 		if ctx != nil && ctx.Err() != nil {
 			lastErr = ctx.Err()
@@ -323,8 +311,8 @@ func (s *Solver) Solve(ctx context.Context, m *cqm.Model, opts ...solve.Option) 
 			break
 		}
 		attempts++
-		res, err := s.inner.Solve(ctx, m, attemptOpts...)
-		if err == nil && !opt.NoValidate {
+		res, err := s.inner.Solve(ctx, m, opts...)
+		if err == nil {
 			if verr := validate(m, res); verr != nil {
 				err = verr
 				invalid++

@@ -317,17 +317,6 @@ func TestValidationCatchesCorruptedResponse(t *testing.T) {
 	if tot := s.Policy().Totals(); tot.InvalidResponses != 1 {
 		t.Fatalf("totals %+v", tot)
 	}
-
-	// NoValidate trusts the reply as-is.
-	trusting := New(&stub{fn: func(int, solve.Config) (*solve.Result, error) { return lie(), nil }},
-		Options{NoValidate: true})
-	res, err = trusting.Solve(context.Background(), m, solve.WithClock(clk))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Objective != 42 {
-		t.Fatalf("NoValidate still validated: %+v", res)
-	}
 }
 
 func TestValidationRejectsShortSample(t *testing.T) {
@@ -390,22 +379,6 @@ func TestCancelledContextServesFallback(t *testing.T) {
 	}
 	if res.Stats.Fallbacks != 1 {
 		t.Fatalf("stats %+v", res.Stats)
-	}
-}
-
-func TestAttemptBudgetApplied(t *testing.T) {
-	m := testModel()
-	var seen []time.Duration
-	inner := &stub{fn: func(_ int, cfg solve.Config) (*solve.Result, error) {
-		seen = append(seen, cfg.Budget)
-		return goodResult(m), nil
-	}}
-	s := New(inner, Options{AttemptBudget: 5 * time.Millisecond})
-	if _, err := s.Solve(context.Background(), m); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 1 || seen[0] != 5*time.Millisecond {
-		t.Fatalf("budgets seen: %v", seen)
 	}
 }
 

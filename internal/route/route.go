@@ -3,11 +3,9 @@
 // solver backends (sa, tabu, exact, hybrid, quantum — anything
 // implementing solve.Solver), in the spirit of client-side weighted
 // round-robin cluster balancers. Each backend is a weighted endpoint;
-// the weight is continuously recomputed from what the router actually
-// observes — per-solve latency, errors, recovered panics, and
-// verification rejects — plus the external health signals the rest of
-// the stack already produces (hedge.Tallies mirrored into internal/obs,
-// and the resilient circuit breaker's state).
+// the weight is recomputed from what the router itself observes of
+// that backend — per-solve latency, errors, recovered panics, and
+// verification rejects — and from nothing else.
 //
 // Design rules:
 //
@@ -36,7 +34,6 @@ import (
 
 	"repro/internal/cqm"
 	"repro/internal/obs"
-	"repro/internal/resilient"
 	"repro/internal/solve"
 	"repro/internal/verify"
 )
@@ -44,9 +41,8 @@ import (
 // ErrNoBackends marks a router constructed without backends.
 var ErrNoBackends = errors.New("route: no backends")
 
-// ErrAllFailed marks a solve that failed on every backend the failover
-// budget allowed. Match with errors.Is; the error joins the per-backend
-// causes.
+// ErrAllFailed marks a solve that failed on every backend. Match with
+// errors.Is; the error joins the per-backend causes.
 var ErrAllFailed = errors.New("route: all routed backends failed")
 
 // ErrTooLarge marks a model rejected by a Gated size guard before the
@@ -54,41 +50,22 @@ var ErrAllFailed = errors.New("route: all routed backends failed")
 // drops), not a caller error: other backends can still serve the solve.
 var ErrTooLarge = errors.New("route: model exceeds backend size limit")
 
-// Defaults of Options.
 const (
-	// DefaultFloor is the minimum share of traffic every backend keeps
-	// receiving as probes, however degraded it looks.
-	DefaultFloor = 0.05
-	// DefaultAlpha is the EWMA step for failure-rate and latency
-	// estimates: one observation moves the estimate 25% of the way.
-	DefaultAlpha = 0.25
+	// floorShare is the minimum share of traffic every backend keeps
+	// receiving as probes, however degraded it looks (clamped to 1/n
+	// over n backends).
+	floorShare = 0.05
+	// alpha is the EWMA step for failure-rate and latency estimates:
+	// one observation moves the estimate 25% of the way.
+	alpha = 0.25
 )
-
-// breakerHolder is the optional interface a resilient-wrapped backend
-// exposes; the router uses it to read circuit-breaker state directly
-// (an open breaker pins the backend to its floor weight).
-type breakerHolder interface{ Policy() *resilient.Policy }
 
 // Options tunes a Router.
 type Options struct {
-	// Floor is the minimum normalized weight per backend
-	// (DefaultFloor when 0; values are clamped to [0, 1/len(backends)]).
-	Floor float64
-	// Alpha is the EWMA step for the failure-rate and latency estimates
-	// (DefaultAlpha when 0).
-	Alpha float64
-	// Failover caps how many distinct backends one Solve may try
-	// (default: all of them; 1 disables failover).
-	Failover int
-	// Verify tunes the independent verification every routed reply must
-	// pass before it counts as a success.
-	Verify verify.Options
 	// Obs, when non-nil, receives the router's per-backend tallies and
 	// weights in addition to any per-solve registry: weights are
-	// published after every recompute, so /metrics always shows the
-	// live routing table. The router also reads hedge.backend.<name>.*
-	// counters from it — tallies a hedged race recorded against the
-	// same backend names feed the routing weights.
+	// published each time an outcome moves them, so /metrics always
+	// shows the live routing table.
 	Obs *obs.Registry
 	// Name overrides the solver name ("route" when empty).
 	Name string
@@ -98,7 +75,6 @@ type Options struct {
 type endpoint struct {
 	name   string
 	solver solve.Solver // Protected
-	raw    solve.Solver // as registered (breaker introspection)
 
 	// EWMA estimates, guarded by the router mutex.
 	failEWMA float64 // in [0,1]: 0 = always verified-ok, 1 = always failing
@@ -108,9 +84,6 @@ type endpoint struct {
 
 	// Cumulative tallies (reporting).
 	picks, ok, errs, rejects, panics int64
-
-	// Last-seen external counter values (delta tracking for Sync).
-	extSeen map[string]int64
 }
 
 // Tally is one backend's cumulative routing record, plus its live
@@ -143,37 +116,25 @@ type Tally struct {
 // single backend fits (qlrb.Pipeline.Solver, dlb, the serve layer).
 // Safe for concurrent use.
 type Router struct {
-	opt Options
+	opt   Options
+	floor float64 // floorShare clamped to 1/len(eps)
 
-	mu    sync.Mutex
-	eps   []*endpoint
-	picks int64
+	mu  sync.Mutex
+	eps []*endpoint
 }
 
 // New builds a router over the given backends. Backend names must be
-// unique (they key the obs metrics and the external tally sync). Every
-// backend is wrapped in solve.Protected: a panicking backend loses
-// weight instead of crashing the process.
+// unique (they key the obs metrics). Every backend is wrapped in
+// solve.Protected: a panicking backend loses weight instead of crashing
+// the process.
 func New(opt Options, backends ...solve.Solver) (*Router, error) {
 	if len(backends) == 0 {
 		return nil, ErrNoBackends
 	}
-	if opt.Floor <= 0 {
-		opt.Floor = DefaultFloor
-	}
-	if max := 1 / float64(len(backends)); opt.Floor > max {
-		opt.Floor = max
-	}
-	if opt.Alpha <= 0 || opt.Alpha > 1 {
-		opt.Alpha = DefaultAlpha
-	}
-	if opt.Failover <= 0 || opt.Failover > len(backends) {
-		opt.Failover = len(backends)
-	}
 	if opt.Name == "" {
 		opt.Name = "route"
 	}
-	r := &Router{opt: opt}
+	r := &Router{opt: opt, floor: min(floorShare, 1/float64(len(backends)))}
 	seen := make(map[string]bool, len(backends))
 	for i, b := range backends {
 		if b == nil {
@@ -184,14 +145,9 @@ func New(opt Options, backends ...solve.Solver) (*Router, error) {
 			return nil, fmt.Errorf("route: duplicate backend name %q", name)
 		}
 		seen[name] = true
-		r.eps = append(r.eps, &endpoint{
-			name:    name,
-			solver:  solve.Protected(b),
-			raw:     b,
-			weight:  1 / float64(len(backends)),
-			extSeen: make(map[string]int64),
-		})
+		r.eps = append(r.eps, &endpoint{name: name, solver: solve.Protected(b)})
 	}
+	r.recomputeLocked()
 	return r, nil
 }
 
@@ -203,7 +159,6 @@ func (r *Router) Name() string { return r.opt.Name }
 func (r *Router) Tallies() []Tally {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.recomputeLocked()
 	out := make([]Tally, len(r.eps))
 	for i, e := range r.eps {
 		out[i] = Tally{
@@ -215,111 +170,37 @@ func (r *Router) Tallies() []Tally {
 	return out
 }
 
-// Weights returns the current normalized weight per backend name.
-func (r *Router) Weights() map[string]float64 {
-	out := make(map[string]float64)
-	for _, t := range r.Tallies() {
-		out[t.Backend] = t.Weight
-	}
-	return out
-}
-
-// breakerOpen reports whether the endpoint's backend sits behind an
-// open resilient circuit breaker right now.
-func breakerOpen(e *endpoint) bool {
-	h, ok := e.raw.(breakerHolder)
-	if !ok {
-		return false
-	}
-	p := h.Policy()
-	return p != nil && p.Breaker().State() == resilient.Open
-}
-
-// syncExternalLocked folds tallies other layers recorded against the
-// same backend names into the failure EWMAs. The hedged solver mirrors
-// its per-backend race record into the obs registry as
-// "hedge.backend.<name>.{wins,rejects,errors,panics}" counters; the
-// router treats each new win as a success observation and each new
-// reject/error/panic as a failure observation, so a backend that only
-// ever loses hedged races arrives at the router pre-downweighted.
-func (r *Router) syncExternalLocked() {
-	reg := r.opt.Obs
-	if reg == nil {
-		return
-	}
-	for _, e := range r.eps {
-		var good, bad int64
-		for _, m := range [...]struct {
-			metric string
-			bad    bool
-		}{
-			{"wins", false}, {"rejects", true}, {"errors", true}, {"panics", true},
-		} {
-			name := "hedge.backend." + e.name + "." + m.metric
-			v := reg.Counter(name).Value()
-			d := v - e.extSeen[name]
-			e.extSeen[name] = v
-			if d <= 0 {
-				continue
-			}
-			if m.bad {
-				bad += d
-			} else {
-				good += d
-			}
-		}
-		if good+bad == 0 {
-			continue
-		}
-		// One batched EWMA step toward the batch's failure fraction,
-		// with strength proportional to the batch size (capped at a
-		// full step so a flood cannot overshoot).
-		target := float64(bad) / float64(good+bad)
-		step := r.opt.Alpha * float64(good+bad)
-		if step > 1 {
-			step = 1
-		}
-		e.failEWMA += step * (target - e.failEWMA)
-	}
-}
-
 // latencyEpsilonMs deadbands the latency factor: latencies are compared
 // after adding this epsilon, so sub-millisecond jitter between equally
 // fast backends does not move weights, while a genuinely slow backend
 // (tens of ms against ms) is still penalized proportionally.
 const latencyEpsilonMs = 1.0
 
-// recomputeLocked refreshes every endpoint's normalized weight:
+// recomputeLocked refreshes every endpoint's normalized weight and
+// publishes the routing table to Options.Obs:
 //
 //	raw_b  = (1 - fail_b) * min(1, (ref+ε)/(lat_b+ε))   (ref = fastest EWMA)
-//	raw_b  = 0 when b's circuit breaker is open
-//	w_b    = max(Floor, raw_b / Σ raw)                  then renormalized
+//	w_b    = max(floor, raw_b / Σ raw)                  then renormalized
 //
 // so a healthy fast backend takes most of the traffic, a failing or
-// slow one decays toward the floor, an open breaker pins to the floor,
-// and the floor keeps probe traffic flowing to everyone.
+// slow one decays toward the floor, and the floor keeps probe traffic
+// flowing to everyone. It runs in New and after each outcome observe
+// records — the only times its inputs change — so a pick only reads
+// the weights.
 func (r *Router) recomputeLocked() {
-	r.syncExternalLocked()
 	ref := 0.0
 	for _, e := range r.eps {
 		if e.latEWMA > 0 && (ref == 0 || e.latEWMA < ref) {
 			ref = e.latEWMA
 		}
 	}
-	raws := make([]float64, len(r.eps))
 	sum := 0.0
-	for i, e := range r.eps {
-		raw := 1 - e.failEWMA
-		if raw < 0 {
-			raw = 0
-		}
+	for _, e := range r.eps {
+		raw := max(1-e.failEWMA, 0)
 		if ref > 0 && e.latEWMA > ref {
 			raw *= (ref + latencyEpsilonMs) / (e.latEWMA + latencyEpsilonMs)
 		}
-		if breakerOpen(e) {
-			raw = 0
-		}
-		raws[i] = raw
+		e.weight = raw // normalized below
 		sum += raw
 	}
 	if sum <= 0 {
@@ -329,13 +210,9 @@ func (r *Router) recomputeLocked() {
 		}
 	} else {
 		total := 0.0
-		for i, e := range r.eps {
-			w := raws[i] / sum
-			if w < r.opt.Floor {
-				w = r.opt.Floor
-			}
-			e.weight = w
-			total += w
+		for _, e := range r.eps {
+			e.weight = max(e.weight/sum, r.floor)
+			total += e.weight
 		}
 		for _, e := range r.eps {
 			e.weight /= total
@@ -349,13 +226,13 @@ func (r *Router) recomputeLocked() {
 }
 
 // pick selects the next endpoint by smooth weighted round-robin over
-// the current weights, skipping endpoints in tried. The smooth variant
-// spreads picks evenly through time (no bursts to one backend), and is
-// deterministic — tests can pin exact shares.
+// the current weights, skipping endpoints in tried (at least one must
+// remain). The smooth variant spreads picks evenly through time (no
+// bursts to one backend), and is deterministic — tests can pin exact
+// shares.
 func (r *Router) pick(tried map[*endpoint]bool) *endpoint {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.recomputeLocked()
 	var best *endpoint
 	total := 0.0
 	for _, e := range r.eps {
@@ -368,26 +245,22 @@ func (r *Router) pick(tried map[*endpoint]bool) *endpoint {
 			best = e
 		}
 	}
-	if best == nil {
-		return nil
-	}
 	best.current -= total
 	best.picks++
-	r.picks++
 	return best
 }
 
 // observe records one routed attempt's outcome into the endpoint's
-// EWMAs, tallies, and the obs registries (the router's own and the
-// per-solve one, when different).
+// EWMAs and tallies, reweights every backend, and records the attempt
+// in the obs registries (the router's own and the per-solve one, when
+// different).
 func (r *Router) observe(e *endpoint, lat time.Duration, outcome string, solveObs *obs.Registry) {
-	r.mu.Lock()
-	a := r.opt.Alpha
 	ms := float64(lat) / float64(time.Millisecond)
+	r.mu.Lock()
 	if e.latEWMA == 0 {
 		e.latEWMA = ms
 	} else {
-		e.latEWMA += a * (ms - e.latEWMA)
+		e.latEWMA += alpha * (ms - e.latEWMA)
 	}
 	fail := 1.0
 	switch outcome {
@@ -402,7 +275,8 @@ func (r *Router) observe(e *endpoint, lat time.Duration, outcome string, solveOb
 	default: // "error"
 		e.errs++
 	}
-	e.failEWMA += a * (fail - e.failEWMA)
+	e.failEWMA += alpha * (fail - e.failEWMA)
+	r.recomputeLocked()
 	r.mu.Unlock()
 
 	for _, reg := range []*obs.Registry{r.opt.Obs, solveObs} {
@@ -411,7 +285,7 @@ func (r *Router) observe(e *endpoint, lat time.Duration, outcome string, solveOb
 		}
 		reg.Counter("route.backend." + e.name + ".picks").Inc()
 		reg.Counter("route.backend." + e.name + "." + outcome).Inc()
-		reg.Histogram("route.backend." + e.name + ".latency_ms").Observe(float64(lat) / float64(time.Millisecond))
+		reg.Histogram("route.backend." + e.name + ".latency_ms").Observe(ms)
 		if solveObs == r.opt.Obs {
 			break // same registry passed twice: record once
 		}
@@ -420,27 +294,24 @@ func (r *Router) observe(e *endpoint, lat time.Duration, outcome string, solveOb
 
 // Solve implements solve.Solver: pick the highest-credit backend, run
 // it behind panic isolation, verify the reply independently, and fail
-// over to the next backend (up to Options.Failover distinct ones) on
-// error, panic, or verification reject. A verified-but-infeasible
-// reply is honest work — it is returned (downstream repair/decode
-// handles infeasibility), and counts as a success for routing.
+// over to the next backend (each backend at most once) on error,
+// panic, or verification reject. A verified-but-infeasible reply is
+// honest work — it is returned (downstream repair/decode handles
+// infeasibility), and counts as a success for routing.
 func (r *Router) Solve(ctx context.Context, m *cqm.Model, opts ...solve.Option) (*solve.Result, error) {
 	if m == nil {
 		return nil, errors.New("route: nil model")
 	}
 	cfg := solve.NewConfig(opts...)
 	clk := cfg.Clock
-	tried := make(map[*endpoint]bool, r.opt.Failover)
+	tried := make(map[*endpoint]bool, len(r.eps))
 	var causes []error
-	for len(tried) < r.opt.Failover {
+	for len(tried) < len(r.eps) {
 		if ctx != nil && ctx.Err() != nil {
 			causes = append(causes, ctx.Err())
 			break
 		}
 		e := r.pick(tried)
-		if e == nil {
-			break
-		}
 		tried[e] = true
 		start := clk.Now()
 		res, err := e.solver.Solve(ctx, m, opts...)
@@ -454,7 +325,7 @@ func (r *Router) Solve(ctx context.Context, m *cqm.Model, opts ...solve.Option) 
 			causes = append(causes, fmt.Errorf("%s: %w", e.name, err))
 			continue
 		}
-		if rep := verify.Sample(m, res, r.opt.Verify); !rep.Ok() {
+		if rep := verify.Sample(m, res, verify.Options{}); !rep.Ok() {
 			r.observe(e, lat, "reject", cfg.Obs)
 			if cfg.Obs != nil {
 				cfg.Obs.Emit("route.reject", map[string]any{

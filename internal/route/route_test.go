@@ -3,13 +3,12 @@ package route
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cqm"
 	"repro/internal/obs"
-	"repro/internal/resilient"
 	"repro/internal/solve"
 )
 
@@ -69,7 +68,7 @@ func (s *stub) Solve(ctx context.Context, m *cqm.Model, opts ...solve.Option) (*
 func TestUniformSplitWhenHealthy(t *testing.T) {
 	m := model()
 	a, b := &stub{name: "a"}, &stub{name: "b"}
-	r, err := New(Options{Failover: 1}, a, b)
+	r, err := New(Options{}, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,16 +97,18 @@ func TestDegradedBackendShedsTrafficThenRecovers(t *testing.T) {
 	good := &stub{name: "good"}
 	bad := &stub{name: "bad"}
 	bad.setDegraded(true)
-	r, err := New(Options{Failover: 1}, good, bad)
+	r, err := New(Options{}, good, bad)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	solveN := func(n int) {
 		for i := 0; i < n; i++ {
-			// Degraded-phase solves routed to bad fail (Failover: 1
-			// isolates the share measurement); that is the point.
-			r.Solve(context.Background(), m) //nolint:errcheck
+			// Degraded-phase solves routed to bad fail over to good;
+			// bad's picks count only the solves routed to it first.
+			if _, err := r.Solve(context.Background(), m); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 
@@ -128,8 +129,8 @@ func TestDegradedBackendShedsTrafficThenRecovers(t *testing.T) {
 	if ts["bad"].Picks < 5 {
 		t.Fatalf("degraded backend got %d probes, want floor-weight probe traffic", ts["bad"].Picks)
 	}
-	if w := ts["bad"].Weight; w > 2*DefaultFloor+1e-9 {
-		t.Fatalf("degraded backend weight = %g, want pinned near floor %g", w, DefaultFloor)
+	if w := ts["bad"].Weight; w > 2*floorShare+1e-9 {
+		t.Fatalf("degraded backend weight = %g, want pinned near floor %g", w, floorShare)
 	}
 
 	// Recovery: faults stop; floor probes succeed, the failure EWMA
@@ -221,37 +222,6 @@ func TestAllBackendsFailing(t *testing.T) {
 	}
 }
 
-// TestOpenBreakerPinsWeightToFloor: a resilient-wrapped backend whose
-// circuit breaker is open holds only its floor weight.
-func TestOpenBreakerPinsWeightToFloor(t *testing.T) {
-	flaky := &stub{name: "flaky"}
-	flaky.setDegraded(true)
-	rs := resilient.New(flaky, resilient.Options{
-		MaxAttempts: 1,
-		Breaker:     resilient.BreakerConfig{Threshold: 1, Cooldown: time.Hour},
-	})
-	good := &stub{name: "good"}
-	r, err := New(Options{Failover: 2}, rs, good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One routed failure trips the breaker (threshold 1)... but a stub
-	// error is not retryable, so it surfaces without a breaker record.
-	// Drive the breaker directly instead: that is the signal the router
-	// reads.
-	rs.Policy().Breaker().Record(false, time.Now())
-	if got := rs.Policy().Breaker().State(); got != resilient.Open {
-		t.Fatalf("breaker state = %v, want open", got)
-	}
-	ws := r.Weights()
-	if w := ws[rs.Name()]; w > 0.1 {
-		t.Fatalf("open-breaker backend weight = %g, want near floor", w)
-	}
-	if w := ws["good"]; w < 0.8 {
-		t.Fatalf("healthy backend weight = %g, want bulk of traffic", w)
-	}
-}
-
 // TestGatedRejectsOversizedModels: the size guard fails fast with
 // ErrTooLarge and passes small models through.
 func TestGatedRejectsOversizedModels(t *testing.T) {
@@ -296,28 +266,44 @@ func TestRouterPublishesWeightsToObs(t *testing.T) {
 	}
 }
 
-// TestSyncFoldsHedgeTallies: hedge race records written into the shared
-// registry downweight a backend the router itself has not yet tried.
-func TestSyncFoldsHedgeTallies(t *testing.T) {
+// TestRouterMetricsMatchTallies: after every solve the registry already
+// holds the routing table the router acts on — the gauges are read
+// before Tallies() — and every counter in it is the router's own.
+func TestRouterMetricsMatchTallies(t *testing.T) {
+	m := model()
 	reg := obs.NewRegistry()
-	a, b := &stub{name: "a"}, &stub{name: "b"}
-	r, err := New(Options{Obs: reg}, a, b)
+	good, bad := &stub{name: "good"}, &stub{name: "bad"}
+	bad.setDegraded(true)
+	r, err := New(Options{Obs: reg}, good, bad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Backend a lost 20 hedged races to verification; b won 20.
-	reg.Counter("hedge.backend.a.rejects").Add(20)
-	reg.Counter("hedge.backend.b.wins").Add(20)
-	ws := r.Weights()
-	if ws["a"] >= ws["b"] {
-		t.Fatalf("weights after hedge sync: a=%g b=%g, want a < b", ws["a"], ws["b"])
+	for i := 0; i < 5; i++ {
+		if _, err := r.Solve(context.Background(), m); err != nil {
+			t.Fatal(err)
+		}
+		gauges := map[string]float64{}
+		for _, g := range reg.Snapshot().Gauges {
+			gauges[g.Name] = g.Value
+		}
+		for _, tl := range r.Tallies() {
+			for metric, want := range map[string]float64{
+				"weight": tl.Weight, "fail_ewma": tl.FailRate, "latency_ewma_ms": tl.LatencyMs,
+			} {
+				name := "route.backend." + tl.Backend + "." + metric
+				if got, ok := gauges[name]; !ok || got != want {
+					t.Fatalf("solve %d: gauge %s = %g (published %v), tally says %g", i+1, name, got, ok, want)
+				}
+			}
+		}
 	}
-	// Deltas are consumed once: a second sync without new tallies keeps
-	// the estimates stable instead of double-counting.
-	before := r.Weights()["a"]
-	after := r.Weights()["a"]
-	if before != after {
-		t.Fatalf("weight drifted without new observations: %g -> %g", before, after)
+	if tl := r.Tallies()[1]; tl.Backend != "bad" || tl.Errors == 0 || tl.FailRate == 0 {
+		t.Fatalf("failing backend never routed to: %+v", tl)
+	}
+	for _, c := range reg.Snapshot().Counters {
+		if !strings.HasPrefix(c.Name, "route.") {
+			t.Errorf("registry counter %s = %d was not recorded by the router", c.Name, c.Value)
+		}
 	}
 }
 

@@ -11,17 +11,17 @@ import (
 )
 
 // Solver adapts the hierarchical sharded solve to the solve.Solver
-// interface over a prebuilt monolithic encoding, so internal/hedge can
-// race "solve it whole" against "solve it sharded" on the same model
-// and let the first verified-feasible answer win.
+// interface over a prebuilt monolithic encoding, so internal/route can
+// serve "solve it sharded" and "solve it whole" as two backends of the
+// same model and accept only a verified answer.
 //
 // The adapter solves the encoding's instance hierarchically (never
 // touching the monolithic model's variables) and re-encodes the merged
 // plan into the model's sample space with EncodePlan; verify.Attest
 // then stamps the honest objective and feasibility. An encoding the
 // merged plan cannot express (e.g. coordination inflow into a pinned
-// process) makes the adapter lose the race with an error rather than
-// return a dishonest sample.
+// process) makes the adapter fail with an error rather than return a
+// dishonest sample.
 type Solver struct {
 	enc *qlrb.Encoded
 	opt Options
@@ -43,8 +43,8 @@ func (s *Solver) Name() string { return "shard" }
 // Solve runs the hierarchical solve for the bound encoding's instance
 // and returns the merged plan re-encoded as a sample of the monolithic
 // model. Budget, seed, clock and observability flow through from the
-// solve options, so a hedged race distributes its per-backend budgets
-// to the shards unchanged.
+// solve options, so a router's per-solve budget reaches the shards
+// unchanged.
 func (s *Solver) Solve(ctx context.Context, m *cqm.Model, opts ...solve.Option) (*solve.Result, error) {
 	if m != s.enc.Model {
 		return nil, fmt.Errorf("shard: solver is bound to a different model")

@@ -4,9 +4,9 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/hedge"
 	"repro/internal/hybrid"
 	"repro/internal/qlrb"
+	"repro/internal/route"
 	"repro/internal/solve"
 )
 
@@ -58,37 +58,41 @@ func TestSolverAdapterRejectsForeignModel(t *testing.T) {
 	}
 }
 
-// TestSolverInHedge races the monolithic hybrid against the sharded
-// adapter on the same model — the first-class-backend wiring the
-// hierarchy promises. Whichever backend wins, the hedged result must be
-// a verified-feasible sample of the monolithic model.
-func TestSolverInHedge(t *testing.T) {
+// TestSolverInRouter routes between the sharded adapter and the
+// monolithic hybrid on the same model — the first-class-backend wiring
+// the hierarchy promises. The adapter is registered first, so the
+// router's equal starting weights send it the solve, and the routed
+// result must be a verified-feasible sample of the monolithic model.
+func TestSolverInRouter(t *testing.T) {
 	in := hotSpots(8, 6, 4)
 	enc, err := qlrb.Build(in, qlrb.BuildOptions{Form: qlrb.QCQM1, K: 16})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	mono := hybrid.New(hybrid.Options{Reads: 1, Sweeps: 120, Seed: 21})
 	sharded := NewSolver(enc, Options{
 		Size:   4,
 		Hybrid: hybrid.Options{Reads: 1, Sweeps: 120, Seed: 22},
 	})
-	h, err := hedge.New(hedge.Options{}, mono, sharded)
+	mono := hybrid.New(hybrid.Options{Reads: 1, Sweeps: 120, Seed: 21})
+	r, err := route.New(route.Options{}, sharded, mono)
 	if err != nil {
-		t.Fatalf("hedge.New: %v", err)
+		t.Fatalf("route.New: %v", err)
 	}
-	res, err := h.Solve(context.Background(), enc.Model, solve.WithSeed(23))
+	res, err := r.Solve(context.Background(), enc.Model, solve.WithSeed(23))
 	if err != nil {
-		t.Fatalf("hedged solve: %v", err)
+		t.Fatalf("routed solve: %v", err)
+	}
+	if tl := r.Tallies()[0]; tl.Backend != "shard" || tl.OK != 1 {
+		t.Fatalf("sharded adapter did not serve the solve: %+v", r.Tallies())
 	}
 	if !res.Feasible {
-		t.Fatal("hedged winner infeasible")
+		t.Fatal("routed result infeasible")
 	}
 	plan, _, err := enc.DecodeRepaired(res.Sample)
 	if err != nil {
 		t.Fatalf("DecodeRepaired: %v", err)
 	}
 	if err := plan.Validate(in); err != nil {
-		t.Fatalf("hedged plan invalid: %v", err)
+		t.Fatalf("routed plan invalid: %v", err)
 	}
 }

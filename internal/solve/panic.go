@@ -40,8 +40,9 @@ type protected struct {
 
 // Protected wraps a solver so that a panic during Solve is recovered
 // and converted into a *PanicError instead of unwinding into the caller
-// — the isolation boundary that lets a crashing backend merely lose a
-// hedged race or burn a resilient retry rather than kill the process.
+// — the isolation boundary that lets a crashing backend merely trigger
+// a routed failover or burn a resilient retry rather than kill the
+// process.
 // Recovered panics are counted under "solver.<name>.panics" in the
 // configured obs registry. Wrapping is idempotent, and a nil solver is
 // returned unchanged.

@@ -109,14 +109,8 @@ type Stats struct {
 	// was open.
 	BreakerSkips int
 	// Panics counts solver panics recovered by the isolation layer
-	// (Protected / the hedge and resilient wrappers).
+	// (Protected, as applied by the resilient wrapper).
 	Panics int
-	// Hedged counts hedge backends launched beyond the primary
-	// (internal/hedge).
-	Hedged int
-	// HedgeRejects counts hedge-race candidates discarded because they
-	// failed independent verification (internal/hedge).
-	HedgeRejects int
 	// Interrupted reports that the solve stopped early on cancellation,
 	// deadline, or budget exhaustion; the result is the best found so
 	// far.
@@ -255,8 +249,6 @@ func (cfg Config) Observe(name string, st Stats) {
 	add("fallbacks", int64(st.Fallbacks))
 	add("breaker_skips", int64(st.BreakerSkips))
 	add("panics", int64(st.Panics))
-	add("hedged", int64(st.Hedged))
-	add("hedge_rejects", int64(st.HedgeRejects))
 	if st.Interrupted {
 		r.Counter(p + "interrupted").Inc()
 	}

@@ -1,6 +1,6 @@
 // Package verify is the independent trust-but-verify layer between
 // solvers and consumers. Nothing downstream of a solver — resilient
-// retries, hedged races, qlrb decoding, the dlb driver — takes a
+// retries, routed failover, qlrb decoding, the dlb driver — takes a
 // solver's word for anything: every response and every decoded plan is
 // re-checked from scratch against the model or instance it claims to
 // solve before it is allowed to influence a running system.

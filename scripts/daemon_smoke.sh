@@ -11,14 +11,27 @@ set -eu
 
 ADDR="${QULRBD_ADDR:-127.0.0.1:18321}"
 BASE="http://$ADDR"
-BIN="$(mktemp -d)/qulrbd"
+BINDIR="$(mktemp -d)"
+BIN="$BINDIR/qulrbd"
 LOG="$(mktemp)"
+STATE="$(mktemp -d)"
+PID=
+
+# One exit path for every outcome: stop a daemon still running and
+# remove everything this script created.
+cleanup() {
+    if [ -n "$PID" ]; then
+        kill -9 "$PID" 2>/dev/null || true
+        wait "$PID" 2>/dev/null || true
+    fi
+    rm -rf "$BINDIR" "$LOG" "$STATE"
+}
+trap cleanup EXIT
 
 fail() {
     echo "daemon-smoke: FAIL: $*" >&2
     echo "--- qulrbd log ---" >&2
     cat "$LOG" >&2 || true
-    kill "$PID" 2>/dev/null || true
     exit 1
 }
 
@@ -27,7 +40,6 @@ go build -o "$BIN" ./cmd/qulrbd
 
 "$BIN" -addr "$ADDR" -workers 2 -timeout 2s >"$LOG" 2>&1 &
 PID=$!
-trap 'kill "$PID" 2>/dev/null || true' EXIT
 
 # Wait for the listener (the daemon prints its address when ready).
 i=0
@@ -81,6 +93,10 @@ echo "daemon-smoke: overload answered 429"
 METRICS="$(curl -fsS "$BASE/metrics")" || fail "GET /metrics"
 printf '%s' "$METRICS" | grep -q 'serve.accepted' || fail "/metrics missing serve counters"
 printf '%s' "$METRICS" | grep -q 'route.backend' || fail "/metrics missing route gauges"
+# The router publishes only what it observed itself.
+if printf '%s\n' "$METRICS" | grep -q 'hedge\.'; then
+    fail "/metrics carries hedge lines: $(printf '%s\n' "$METRICS" | grep 'hedge\.')"
+fi
 
 # Graceful shutdown: SIGTERM → drain → exit 0.
 kill -TERM "$PID"
@@ -96,7 +112,6 @@ STATUS=$?
 set -e
 [ "$STATUS" = 0 ] || fail "daemon exit status $STATUS after SIGTERM"
 grep -q "drained cleanly" "$LOG" || fail "drain banner missing"
-trap - EXIT
 
 # Crash-safe durability: run with -state-dir and a plan cache, finish a
 # job, SIGKILL the daemon (no drain, no dying gasp), restart on the same
@@ -105,11 +120,9 @@ trap - EXIT
 # owns the record — and the plan cache must get back exactly its own
 # one entry: its log shares the directory with the job journal but
 # never a segment file.
-STATE="$(mktemp -d)"
 echo "daemon-smoke: durability phase (state dir $STATE)"
 "$BIN" -addr "$ADDR" -workers 2 -timeout 2s -cache 16 -state-dir "$STATE" >"$LOG" 2>&1 &
 PID=$!
-trap 'kill "$PID" 2>/dev/null || true' EXIT
 i=0
 until curl -fsS "$BASE/healthz" >/dev/null 2>&1; do
     i=$((i + 1))
@@ -181,6 +194,6 @@ wait "$PID"
 STATUS=$?
 set -e
 [ "$STATUS" = 0 ] || fail "durable daemon exit status $STATUS after SIGTERM"
-trap - EXIT
+PID=
 
 echo "daemon-smoke: PASS"
